@@ -134,17 +134,14 @@ func run(args []string) error {
 	var coord *dist.Coordinator
 	if *distOn {
 		var err error
-		coord, err = dist.New(dist.Config{
+		if coord, err = dist.New(dist.Config{
 			ChunkSize: *distChunk,
 			LeaseTTL:  *distTTL,
 			HedgeLast: *distHedge,
-			StoreDir:  *store,
 			Now:       time.Now,
-		})
-		if err != nil {
+		}); err != nil {
 			return err
 		}
-		defer func() { _ = coord.Close() }()
 	}
 
 	srv, err := serve.New(serve.Config{

@@ -372,8 +372,8 @@ func runSweep(ctx context.Context, s experiment.Scenario, trials, workers int, c
 	} else if err := tbl.WriteText(os.Stdout); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "bgpsim: %d trials: %d simulated, %d cache hits, %d resumed\n",
-		stats.Trials, stats.Executed, stats.CacheHits, stats.Resumed)
+	fmt.Fprintf(os.Stderr, "bgpsim: %d trials: %d simulated, %d cache hits, %d quarantined, %d resumed\n",
+		stats.Trials, stats.Executed, stats.CacheHits, stats.Quarantined, stats.Resumed)
 	return nil
 }
 

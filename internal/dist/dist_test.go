@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -33,8 +31,8 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// startTrials launches Execute for trials 0..n-1 and returns a channel
-// per trial carrying the outcome.
+// startTrials launches Execute for trials 0..n-1, waits until all are
+// registered, and returns a channel per trial carrying the outcome.
 func startTrials(t *testing.T, sw *Sweep, n int) []chan trialOutcome {
 	t.Helper()
 	chans := make([]chan trialOutcome, n)
@@ -46,7 +44,31 @@ func startTrials(t *testing.T, sw *Sweep, n int) []chan trialOutcome {
 			ch <- trialOutcome{data: data, err: err}
 		}(i)
 	}
+	waitRegistered(t, sw.c, n)
 	return chans
+}
+
+// waitRegistered polls until the coordinator's sweeps hold n registered
+// trials, so the first lease sees the whole pending set instead of
+// racing the Execute calls.
+func waitRegistered(t *testing.T, c *Coordinator, n int) {
+	t.Helper()
+	registered := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		total := 0
+		for _, sw := range c.sweeps {
+			total += len(sw.slots)
+		}
+		return total
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for registered() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d trials registered within 5s", registered(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func testKey(trial int) string { return fmt.Sprintf("key-%03d", trial) }
@@ -105,7 +127,7 @@ func TestLeaseExpiryReassignsTrials(t *testing.T) {
 		t.Fatalf("first lease trials = %v, want all 3", l1.Trials)
 	}
 	// The dead worker never reports. Before the TTL, the live worker
-	// sees nothing pending (and nothing to hedge at MaxHedges beyond
+	// sees nothing pending (and nothing to hedge beyond the hedge
 	// budget — HedgeLast default 0 here since Config.HedgeLast is 0).
 	if l, _, _ := c.acquire(live); l != nil {
 		t.Fatalf("premature grant %v while lease outstanding", l.Trials)
@@ -137,7 +159,7 @@ func TestLeaseExpiryReassignsTrials(t *testing.T) {
 // duplicates, and the waiting Execute calls observe exactly one result.
 func TestHedgedDoubleCompletion(t *testing.T) {
 	clock := newFakeClock()
-	c, err := New(Config{ChunkSize: 4, LeaseTTL: time.Hour, HedgeLast: 2, MaxHedges: 1, Now: clock.Now})
+	c, err := New(Config{ChunkSize: 4, LeaseTTL: time.Hour, HedgeLast: 2, Now: clock.Now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,84 +329,6 @@ func TestStaleLeaseFailureDoesNotWin(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRestartRecoversOrphans pins the lease WAL: a
-// coordinator killed with grants outstanding reports them as recovered
-// on restart, and restarting the same sweep counts them reassigned.
-func TestCoordinatorRestartRecoversOrphans(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{ChunkSize: 2, StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := c.StartSweep("s1", []byte(`{}`), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = startTrials(t, sw, 4)
-	w := c.register("")
-	l1, _ := waitLease(t, c, w)
-	l2, _ := waitLease(t, c, w)
-	if _, err := c.report(resultsFor(l1, w)); err != nil {
-		t.Fatal(err)
-	}
-	_ = l2 // never reported: orphaned grant
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := New(Config{ChunkSize: 2, StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c2.Close() }()
-	if got := c2.Counters().LeasesRecovered; got != 1 {
-		t.Fatalf("LeasesRecovered = %d, want 1 (l2 was outstanding)", got)
-	}
-	if _, err := c2.StartSweep("s1", []byte(`{}`), 4); err != nil {
-		t.Fatal(err)
-	}
-	if got := c2.Counters().LeasesReassigned; got != 1 {
-		t.Errorf("LeasesReassigned after restart = %d, want 1", got)
-	}
-}
-
-// TestFinishedSweepRecordsCompactAway pins log hygiene: once a sweep
-// finishes, a restarted coordinator holds no recovered leases and the
-// compacted log drops the sweep's records.
-func TestFinishedSweepRecordsCompactAway(t *testing.T) {
-	dir := t.TempDir()
-	c, err := New(Config{ChunkSize: 4, StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sw, err := c.StartSweep("s1", []byte(`{}`), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	chans := startTrials(t, sw, 2)
-	w := c.register("")
-	l, _ := waitLease(t, c, w)
-	if _, err := c.report(resultsFor(l, w)); err != nil {
-		t.Fatal(err)
-	}
-	for _, ch := range chans {
-		<-ch
-	}
-	sw.Finish()
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	c2, err := New(Config{StoreDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c2.Close() }()
-	if got := c2.Counters().LeasesRecovered; got != 0 {
-		t.Errorf("LeasesRecovered = %d after clean finish, want 0", got)
-	}
-}
-
 // TestSweepFinishFailsWaiters pins Finish semantics: Execute calls
 // still in flight fail with ErrSweepFinished instead of hanging.
 func TestSweepFinishFailsWaiters(t *testing.T) {
@@ -403,47 +347,5 @@ func TestSweepFinishFailsWaiters(t *testing.T) {
 	out := <-chans[0]
 	if !errors.Is(out.err, ErrSweepFinished) {
 		t.Fatalf("waiter got %v, want ErrSweepFinished", out.err)
-	}
-}
-
-// TestLogReplaySkipsTornTail pins the WAL torn-write contract shared
-// with the job WAL and the sweep journal.
-func TestLogReplaySkipsTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "dist.jsonl")
-	l, _, err := OpenLog(nil, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := l.Append(Record{Type: RecordGrant, Sweep: "s", Lease: fmt.Sprintf("lease-%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the last line mid-record.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l2, records, err := OpenLog(nil, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l2.Close() }()
-	if len(records) != 2 {
-		t.Fatalf("replayed %d records, want 2 (torn tail dropped)", len(records))
-	}
-	if l2.Dropped() != 1 {
-		t.Errorf("Dropped = %d, want 1", l2.Dropped())
-	}
-	// Appends after a torn tail must not collide with surviving seqs.
-	if err := l2.Append(Record{Type: RecordDone, Sweep: "s"}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -195,6 +195,7 @@ func TestDistributedCrashReassignment(t *testing.T) {
 	// The victim grabs the first chunk and is never heard from again —
 	// the in-process analogue of SIGKILL mid-lease (the subprocess
 	// harness in disttest kills a real worker).
+	waitRegistered(t, c, testTrials)
 	victim := c.register("victim")
 	vl, _ := waitLease(t, c, victim)
 	if len(vl.Trials) != 4 {
@@ -219,7 +220,7 @@ func TestDistributedCrashReassignment(t *testing.T) {
 // involved), first result wins, and the digests match the oracle.
 func TestDistributedHedgingParity(t *testing.T) {
 	wantAgg, wantRes := localOracle(t)
-	c, err := New(Config{ChunkSize: 4, HedgeLast: 8, MaxHedges: 1})
+	c, err := New(Config{ChunkSize: 4, HedgeLast: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,12 +108,15 @@ func (sw *sweepState) outstanding() int {
 	return n
 }
 
+// maxHedges caps duplicate grants per chunk.
+const maxHedges = 1
+
 // hedgeCandidate picks the lease an idle worker should duplicate: the
 // oldest outstanding primary (non-hedged) chunk that has not exhausted
 // its hedge budget and is not already held by the asking worker. The
 // tail condition — hedge only when nothing is pending and at most
 // hedgeLast primaries remain outstanding — is the caller's job.
-func (sw *sweepState) hedgeCandidate(worker string, maxHedges int) *lease {
+func (sw *sweepState) hedgeCandidate(worker string) *lease {
 	for _, id := range sw.order {
 		l, ok := sw.leases[id]
 		if !ok || l.hedged {

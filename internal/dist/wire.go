@@ -27,12 +27,10 @@
 //     to idle workers, first result wins, duplicates are counted and
 //     dropped.
 //
-// Lease grants and completions are journaled to a checksummed
-// write-ahead log (the same torn-tail-tolerant JSONL shape as bgpd's
-// job WAL), so a restarted coordinator resumes accounting instead of
-// starting blind; the trial results themselves are durable in the
-// sweep's checkpoint journal, which is what actually prevents completed
-// shards from re-running after a restart.
+// Lease state lives in memory only. What a restarted coordinator
+// re-runs is decided by the result cache and the sweep's checkpoint
+// journal: completed trials are served from disk, and only the rest are
+// leased again.
 //
 // The package sits in detlint's "harness" scope: goroutines are allowed
 // (it is orchestration, not kernel), but no wall clock — time arrives
@@ -41,128 +39,7 @@
 // dependence, and no float equality.
 package dist
 
-import (
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"fmt"
-)
-
-// RecordVersion is bumped when the lease-log record schema changes;
-// records with a different version are dropped on load.
-const RecordVersion = 1
-
-// Record kinds in the coordinator's lease log.
-const (
-	// RecordSweep marks a sweep beginning distribution.
-	RecordSweep = "sweep"
-	// RecordGrant journals one lease grant (initial, reassigned, or
-	// hedged — Attempt disambiguates).
-	RecordGrant = "grant"
-	// RecordComplete journals a lease completion: the shard's trials
-	// reached the coordinator and were merged (or dropped as hedged
-	// duplicates — Duplicate disambiguates).
-	RecordComplete = "complete"
-	// RecordDone marks a sweep finishing; its records are dropped at the
-	// next compaction.
-	RecordDone = "done"
-)
-
-// Record is one entry in the coordinator's lease write-ahead log, one
-// JSON object per line. Every record embeds a truncated SHA-256
-// checksum over its canonical encoding, so a torn or bit-rotten line is
-// dropped on load instead of poisoning recovery — the same contract as
-// bgpd's job WAL (durable.Record).
-type Record struct {
-	V    int    `json:"v"`
-	Seq  int    `json:"seq"`
-	Type string `json:"type"` // sweep | grant | complete | done
-
-	// Sweep names the distributed sweep the record belongs to.
-	Sweep string `json:"sweep"`
-	// TrialCount is the sweep width (Type == "sweep").
-	TrialCount int `json:"trialCount,omitempty"`
-
-	// Lease fields (grant/complete).
-	Lease   string `json:"lease,omitempty"`
-	Worker  string `json:"worker,omitempty"`
-	Trials  []int  `json:"trials,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	// Duplicate marks a completion whose trials had already been merged
-	// from another lease (a hedged or reassigned twin finished first).
-	Duplicate bool `json:"duplicate,omitempty"`
-
-	// Sum is the integrity checksum: the first 16 hex characters of
-	// SHA-256 over the record's canonical JSON with Sum itself empty.
-	Sum string `json:"sum"`
-}
-
-// sum computes the record's canonical checksum.
-func (r Record) sum() (string, error) {
-	r.Sum = ""
-	data, err := json.Marshal(r)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.Sum256(data)
-	return hex.EncodeToString(h[:])[:16], nil
-}
-
-// EncodeRecord renders one lease-log line (without the trailing
-// newline), stamping the version and checksum.
-func EncodeRecord(r Record) ([]byte, error) {
-	r.V = RecordVersion
-	s, err := r.sum()
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode lease record: %w", err)
-	}
-	r.Sum = s
-	data, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("dist: encode lease record: %w", err)
-	}
-	return data, nil
-}
-
-// ErrBadRecord marks a lease-log line that failed structural validation
-// or its integrity check.
-var ErrBadRecord = errors.New("dist: bad lease record")
-
-// DecodeRecord parses and verifies one lease-log line. It never panics
-// on hostile input (FuzzLeaseRecord pins that); any structural or
-// checksum failure returns an error wrapping ErrBadRecord.
-func DecodeRecord(line []byte) (Record, error) {
-	var r Record
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&r); err != nil {
-		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	if dec.More() {
-		return Record{}, fmt.Errorf("%w: trailing data after record", ErrBadRecord)
-	}
-	if r.V != RecordVersion {
-		return Record{}, fmt.Errorf("%w: version %d, want %d", ErrBadRecord, r.V, RecordVersion)
-	}
-	switch r.Type {
-	case RecordSweep, RecordGrant, RecordComplete, RecordDone:
-	default:
-		return Record{}, fmt.Errorf("%w: unknown type %q", ErrBadRecord, r.Type)
-	}
-	if r.Sweep == "" {
-		return Record{}, fmt.Errorf("%w: empty sweep id", ErrBadRecord)
-	}
-	want, err := r.sum()
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: %v", ErrBadRecord, err)
-	}
-	if r.Sum != want {
-		return Record{}, fmt.Errorf("%w: checksum %q, want %q", ErrBadRecord, r.Sum, want)
-	}
-	return r, nil
-}
+import "encoding/json"
 
 // The HTTP wire protocol under /v1/work/. All bodies are JSON; workers
 // authenticate by their coordinator-assigned ID (this is a cluster-

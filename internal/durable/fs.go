@@ -10,9 +10,12 @@
 //     schedule (ENOSPC, EIO, torn writes, crash-point panics) is scripted
 //     by op sequence and replayable by seed, so the exact code paths that
 //     run in production are the ones exercised under injected faults.
-//   - WAL, an fsynced, checksummed, torn-tail-tolerant job write-ahead
-//     log for bgpd: accepted jobs are durable before admission returns,
-//     and a killed daemon replays the log on restart.
+//   - Log, the one append-only record file: bgpd's job write-ahead log
+//     and the sweep checkpoint journal both sit on it. Every record is a
+//     frame — a CRC-32C over the exact payload bytes, then the payload —
+//     and the same frame wraps each sweep cache object, so every byte
+//     read back is verified; a torn or corrupt line is counted and
+//     dropped on open, never fatal.
 //   - WriteFileAtomic, the shared temp-file + fsync + rename discipline
 //     that keeps cache objects and forensic bundles free of torn files.
 //

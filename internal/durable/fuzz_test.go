@@ -5,54 +5,34 @@ import (
 	"testing"
 )
 
-// FuzzWALRecord hammers the WAL line decoder with hostile input. The
-// properties pinned:
+// FuzzWALRecord hammers the frame decoder — the line decoder under the
+// job WAL, the sweep journal, and every cache object — with hostile
+// input. The properties pinned:
 //
-//   - DecodeRecord never panics, whatever the bytes;
-//   - anything it accepts re-encodes, and the re-encoded line decodes
-//     to an identical record (the recovery path and the append path
-//     agree on the format);
-//   - the re-encoded line's checksum verifies, so a decoded-then-kept
-//     record survives a compaction round trip.
+//   - DecodeFrame never panics, whatever the bytes;
+//   - anything it accepts re-frames to the identical bytes (the encoding
+//     is canonical, so replay and compaction agree on the format);
+//   - any input, framed as a payload, decodes back to itself.
 //
 // Seeds live in testdata/fuzz/FuzzWALRecord; CI runs a short
 // coverage-guided session on top (fuzz-smoke).
 func FuzzWALRecord(f *testing.F) {
-	seed := func(r Record) {
-		line, err := EncodeRecord(r)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(line)
-	}
-	seed(Record{Type: "job", Job: "job-000001", Key: "ab12/trials=2", Trials: 2,
-		Spec: []byte(`{"topology":{"family":"clique","size":4},"event":"tdown"}`)})
-	seed(Record{Type: "state", Job: "job-000001", State: "running"})
-	seed(Record{Type: "state", Job: "job-000001", State: "done",
-		AggregateDigest: "00ff", ResultDigests: []string{"a", "b"}, Stats: []byte(`{"Trials":2}`)})
-	f.Add([]byte(`{"v":1,"seq":0,"type":"job","job":"j","sum":"0000000000000000"}`))
-	f.Add([]byte(`not json at all`))
-	f.Add([]byte(`{"v":2,"type":"job","job":"j","sum":""}`))
+	f.Add(AppendFrame(nil, []byte(`{"v":2,"type":"job","job":"job-000001","key":"ab12/trials=2","trials":2,"spec":{"topology":{"family":"clique","size":4},"event":"tdown"}}`)))
+	f.Add(AppendFrame(nil, []byte(`{"v":2,"type":"state","job":"job-000001","state":"running"}`)))
+	f.Add(AppendFrame(nil, []byte(`{"v":2,"trial":3,"key":"00ff","data":{"PacketsSent":42}}`)))
+	f.Add([]byte("00000000 {}\n"))
+	f.Add([]byte(`not a frame at all`))
+	f.Add([]byte(`{"v":1,"seq":0,"type":"job","job":"j","sum":"0000000000000000"}` + "\n"))
 
-	f.Fuzz(func(t *testing.T, line []byte) {
-		r, err := DecodeRecord(line)
-		if err != nil {
-			return
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if p, err := DecodeFrame(in); err == nil {
+			if re := AppendFrame(nil, p); !bytes.Equal(re, in) {
+				t.Fatalf("accepted frame does not re-frame identically:\n%q\n%q", in, re)
+			}
 		}
-		re, err := EncodeRecord(r)
-		if err != nil {
-			t.Fatalf("accepted record does not re-encode: %v\nrecord: %+v", err, r)
-		}
-		r2, err := DecodeRecord(re)
-		if err != nil {
-			t.Fatalf("re-encoded record does not decode: %v\nline: %s", err, re)
-		}
-		// Seq is preserved by the codec (the WAL assigns it on append).
-		r2.Sum, r.Sum = "", ""
-		a, err1 := EncodeRecord(r)
-		b, err2 := EncodeRecord(r2)
-		if err1 != nil || err2 != nil || !bytes.Equal(a, b) {
-			t.Fatalf("round trip drifted:\n%s\n%s", a, b)
+		p, err := DecodeFrame(AppendFrame(nil, in))
+		if err != nil || !bytes.Equal(p, in) {
+			t.Fatalf("payload %q did not round-trip: %q, %v", in, p, err)
 		}
 	})
 }

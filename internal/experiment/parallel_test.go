@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -164,6 +166,46 @@ func TestSweepResumeDerivesJournalFromCache(t *testing.T) {
 	// Resume without any persistence location is a configuration error.
 	if _, _, _, err := RunSweep(gen, 3, SweepOptions{Resume: true}); err == nil {
 		t.Error("Resume without JournalPath or CacheDir accepted")
+	}
+}
+
+// TestSweepTamperedCacheObjectQuarantined: one digit of PacketsSent
+// changed inside a cached result keeps it valid JSON, so only the cache
+// checksum can catch it. The rerun quarantines the object, re-executes
+// the trial, and digests exactly like the clean run.
+func TestSweepTamperedCacheObjectQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	gen := Repeat(CliqueTDown(4, bgp.DefaultConfig(), 31))
+	clean, _, _ := sweepDigests(t, gen, 3, SweepOptions{Workers: 1})
+	opts := SweepOptions{Workers: 1, CacheDir: dir}
+	sweepDigests(t, gen, 3, opts)
+
+	scenario, err := gen(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := scenario.CacheKey()
+	obj := filepath.Join(dir, "objects", key[:2], key)
+	data, err := os.ReadFile(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	field := []byte(`"PacketsSent":`)
+	at := bytes.Index(data, field) + len(field)
+	if at < len(field) || data[at] < '0' || data[at] > '9' {
+		t.Fatalf("no PacketsSent digit in %s", obj)
+	}
+	data[at] = '0' + (data[at]-'0'+1)%10
+	if err := os.WriteFile(obj, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, _, stats := sweepDigests(t, gen, 3, opts)
+	if stats.Quarantined != 1 || stats.Executed != 1 || stats.CacheHits != 2 {
+		t.Errorf("stats %+v, want 1 quarantined / 1 executed / 2 hits", stats)
+	}
+	if got != clean {
+		t.Errorf("digest after tamper = %s, want the clean %s", got, clean)
 	}
 }
 

@@ -218,7 +218,7 @@ type Server struct {
 
 	// wal is the job write-ahead log (nil without Config.StoreDir);
 	// recovery holds what its replay did at startup.
-	wal      *durable.WAL
+	wal      *durable.Log
 	recovery RecoveryStats
 }
 
@@ -240,13 +240,13 @@ func New(cfg Config) (*Server, error) {
 	s.rootCtx, s.rootCancel = context.WithCancel(context.Background())
 	s.mux = s.routes()
 	if cfg.StoreDir != "" {
-		wal, records, err := durable.OpenWAL(cfg.FS, walPath(cfg.StoreDir))
+		wal, payloads, err := durable.Open(cfg.FS, walPath(cfg.StoreDir))
 		if err != nil {
 			return nil, fmt.Errorf("serve: open job WAL: %w", err)
 		}
 		s.wal = wal
 		s.recovery.DroppedRecords = wal.Dropped()
-		if err := s.recoverWAL(records); err != nil {
+		if err := s.recoverWAL(payloads); err != nil {
 			_ = wal.Close()
 			return nil, err
 		}
@@ -367,7 +367,7 @@ func (s *Server) submit(req *RunRequest, sc experiment.Scenario) submitOutcome {
 		// The acceptance record is already durable; mark it aborted so a
 		// restart does not resurrect a submission the client was told to
 		// retry.
-		_ = s.walAppend(durable.Record{Type: "state", Job: j.id, State: walStateAborted})
+		_ = s.walAppend(walRecord{Type: "state", Job: j.id, State: walStateAborted})
 		s.metrics.inc("bgpd_admission_rejects_total", 1)
 		return submitOutcome{err: &RequestError{
 			Status: http.StatusTooManyRequests, Code: "overloaded",
@@ -435,7 +435,7 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	s.metrics.observe("bgpd_job_latency_seconds_queue", start.Sub(j.submitted).Seconds())
 	j.log.append(Event{Type: "started"})
-	_ = s.walAppend(durable.Record{Type: "state", Job: j.id, State: string(StateRunning)})
+	_ = s.walAppend(walRecord{Type: "state", Job: j.id, State: string(StateRunning)})
 
 	var (
 		ctx    context.Context

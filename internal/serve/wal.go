@@ -7,15 +7,63 @@ import (
 	"strconv"
 	"strings"
 
-	"bgploop/internal/durable"
 	"bgploop/internal/sweep"
 )
+
+// walVersion is bumped when the job-record schema changes; records with
+// a different version are dropped on load.
+const walVersion = 2
 
 // walStateAborted is the WAL state recorded for a submission whose WAL
 // record was durably written but whose enqueue was then rejected
 // (queue full). Recovery drops aborted jobs entirely — the client was
 // told 429 and never saw a job id.
 const walStateAborted = "aborted"
+
+// walRecord is one entry in bgpd's job write-ahead log: the JSON payload
+// of one durable.Log frame. Two record types exist:
+//
+//   - "job": a submission accepted by admission control — the request
+//     spec verbatim, the dedupe key, and the trial count. Appended (and
+//     fsynced) before the submit response is written, so an accepted job
+//     survives any subsequent crash.
+//   - "state": a lifecycle transition (running, done, failed, canceled).
+//     Terminal records carry the served digests and executor statistics,
+//     so a restarted daemon can keep answering GET /v1/runs/{id} for
+//     jobs that finished in a previous life.
+type walRecord struct {
+	V    int    `json:"v"`
+	Type string `json:"type"` // "job" | "state"
+	Job  string `json:"job"`
+
+	// Submission fields (Type == "job").
+	Key     string          `json:"key,omitempty"`
+	Trials  int             `json:"trials,omitempty"`
+	Spec    json.RawMessage `json:"spec,omitempty"`
+	Warning string          `json:"warning,omitempty"`
+
+	// Transition fields (Type == "state").
+	State           string          `json:"state,omitempty"`
+	Error           string          `json:"error,omitempty"`
+	AggregateDigest string          `json:"aggregateDigest,omitempty"`
+	ResultDigests   []string        `json:"resultDigests,omitempty"`
+	Stats           json.RawMessage `json:"stats,omitempty"`
+}
+
+// encode renders the record as a log payload, stamping the version.
+func (r walRecord) encode() ([]byte, error) {
+	r.V = walVersion
+	return json.Marshal(r)
+}
+
+// decodeWALRecord parses one replayed payload; ok is false for a record
+// of another schema version or one missing its type or job id.
+func decodeWALRecord(p []byte) (r walRecord, ok bool) {
+	if err := json.Unmarshal(p, &r); err != nil || r.V != walVersion || r.Job == "" {
+		return walRecord{}, false
+	}
+	return r, r.Type == "job" || r.Type == "state"
+}
 
 // RecoveryStats summarises what WAL replay did at startup; cmd/bgpd
 // logs it and /metrics exposes the counters.
@@ -29,7 +77,8 @@ type RecoveryStats struct {
 	// was reconstructed so GET /v1/runs/{id} keeps answering after a
 	// restart.
 	Restored int
-	// DroppedRecords counts torn or corrupt WAL lines skipped on load.
+	// DroppedRecords counts torn, corrupt, or other-version WAL lines
+	// skipped on load.
 	DroppedRecords int
 	// WALBytes is the log's size after the startup compaction.
 	WALBytes int64
@@ -44,11 +93,17 @@ func walPath(storeDir string) string {
 // WAL failures after admission never fail the job itself — the job is
 // already running and its results are still served; only crash-recovery
 // fidelity degrades, which the error counter makes visible.
-func (s *Server) walAppend(r durable.Record) error {
+func (s *Server) walAppend(r walRecord) error {
 	if s.wal == nil {
 		return nil
 	}
-	err := s.wal.Append(r)
+	p, err := r.encode()
+	if err == nil {
+		err = s.wal.Append(p)
+	}
+	if err == nil {
+		err = s.wal.Sync()
+	}
 	if err != nil {
 		s.metrics.inc("bgpd_wal_errors_total", 1)
 	}
@@ -58,12 +113,12 @@ func (s *Server) walAppend(r durable.Record) error {
 
 // walRecordSubmit renders the admission record for job j. The request
 // spec is embedded verbatim so recovery can rebuild the scenario.
-func walRecordSubmit(j *job) (durable.Record, error) {
+func walRecordSubmit(j *job) (walRecord, error) {
 	spec, err := json.Marshal(j.spec)
 	if err != nil {
-		return durable.Record{}, err
+		return walRecord{}, err
 	}
-	return durable.Record{
+	return walRecord{
 		Type:    "job",
 		Job:     j.id,
 		Key:     j.key,
@@ -75,8 +130,8 @@ func walRecordSubmit(j *job) (durable.Record, error) {
 
 // walRecordTerminal renders the terminal state record for job j; the
 // caller holds j.mu.
-func walRecordTerminal(j *job) durable.Record {
-	r := durable.Record{
+func walRecordTerminal(j *job) walRecord {
+	r := walRecord{
 		Type:            "state",
 		Job:             j.id,
 		State:           string(j.state),
@@ -95,15 +150,19 @@ func walRecordTerminal(j *job) durable.Record {
 // re-enqueued, aborted submissions are dropped, and the log is
 // compacted to the fold. Called from New before the workers start, so
 // no locking is needed.
-func (s *Server) recoverWAL(records []durable.Record) error {
+func (s *Server) recoverWAL(payloads [][]byte) error {
 	type fold struct {
-		submit durable.Record
-		last   *durable.Record // latest state record, nil if none
+		submit walRecord
+		last   *walRecord // latest state record, nil if none
 	}
 	folds := map[string]*fold{}
 	var jobOrder []string
-	for i := range records {
-		r := records[i]
+	for _, p := range payloads {
+		r, ok := decodeWALRecord(p)
+		if !ok {
+			s.recovery.DroppedRecords++
+			continue
+		}
 		switch r.Type {
 		case "job":
 			if _, ok := folds[r.Job]; !ok {
@@ -112,7 +171,7 @@ func (s *Server) recoverWAL(records []durable.Record) error {
 			}
 		case "state":
 			if f, ok := folds[r.Job]; ok {
-				f.last = &records[i]
+				f.last = &r
 			}
 		}
 		// Keep new IDs past everything the log has ever named.
@@ -121,7 +180,7 @@ func (s *Server) recoverWAL(records []durable.Record) error {
 		}
 	}
 
-	var compacted []durable.Record
+	var compacted []walRecord
 	for _, id := range jobOrder {
 		f := folds[id]
 		state := StateQueued
@@ -190,7 +249,14 @@ func (s *Server) recoverWAL(records []durable.Record) error {
 		}
 	}
 
-	if err := s.wal.Compact(compacted); err != nil {
+	out := make([][]byte, len(compacted))
+	for i, r := range compacted {
+		var err error
+		if out[i], err = r.encode(); err != nil {
+			return fmt.Errorf("serve: compact WAL: %w", err)
+		}
+	}
+	if err := s.wal.Compact(out); err != nil {
 		return fmt.Errorf("serve: compact WAL: %w", err)
 	}
 	s.recovery.WALBytes = s.wal.Bytes()
@@ -210,7 +276,7 @@ func (s *Server) installRecovered(j *job) {
 
 // jobFromRecord rebuilds a job skeleton from its WAL submission record,
 // including the replayable scenario.
-func jobFromRecord(r durable.Record, eventCap int) (*job, error) {
+func jobFromRecord(r walRecord, eventCap int) (*job, error) {
 	j := &job{
 		id:      r.Job,
 		key:     r.Key,

@@ -87,15 +87,21 @@ func TestWALReplaysIncompleteJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal, _, err := durable.OpenWAL(nil, walPath(store))
+	wal, _, err := durable.Open(nil, walPath(store))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.Append(durable.Record{Type: "job", Job: "job-000007", Key: "k/trials=2", Trials: req.Trials, Spec: spec}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wal.Append(durable.Record{Type: "state", Job: "job-000007", State: string(StateRunning)}); err != nil {
-		t.Fatal(err)
+	for _, r := range []walRecord{
+		{Type: "job", Job: "job-000007", Key: "k/trials=2", Trials: req.Trials, Spec: spec},
+		{Type: "state", Job: "job-000007", State: string(StateRunning)},
+	} {
+		p, err := r.encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wal.Append(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
@@ -230,16 +236,11 @@ func TestWALRecoveryToleratesTornTail(t *testing.T) {
 	ts1.Close()
 
 	// Append half a record, as a crash mid-append would.
-	full, err := durable.EncodeRecord(durable.Record{Type: "state", Job: v.ID, State: "running"})
+	p, err := walRecord{Type: "state", Job: v.ID, State: "running"}.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal, _, err := durable.OpenWAL(nil, walPath(store))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reach under the WAL abstraction: write raw torn bytes.
-	_ = wal.Close()
+	full := durable.AppendFrame(nil, p)
 	appendRaw(t, walPath(store), full[:len(full)/2])
 
 	s2, ts2 := newTestServer(t, Config{StoreDir: store})

@@ -14,13 +14,14 @@ import (
 // experiment.Scenario.CacheKey), so a key collision means the results
 // are interchangeable by construction and a config change simply misses.
 //
-// Layout: <dir>/objects/<key[:2]>/<key>, one encoded result per file.
-// Writes go through a temp file + rename + fsync, so a killed sweep
-// never leaves a torn object behind. Objects that fail to decode anyway
-// (bit rot, foreign files) are quarantined — moved to
-// <dir>/quarantine/<key> — instead of silently treated as misses, so
-// corruption is visible in the executor's stats and the bgpd /metrics
-// endpoint rather than showing up only as a mysterious hit-ratio drop.
+// Layout: <dir>/objects/<key[:2]>/<key>, one encoded result per file,
+// wrapped in the same checksummed frame as a durable.Log record. Writes
+// go through a temp file + rename + fsync, so a killed sweep never
+// leaves a torn object behind. Objects that fail their checksum or
+// decode anyway (bit rot, foreign files, an older format) are
+// quarantined — moved to <dir>/quarantine/<key> — instead of silently
+// treated as misses or served, so corruption is visible in the
+// executor's stats and the bgpd /metrics endpoint.
 type Cache struct {
 	dir  string
 	fsys durable.FS
@@ -67,18 +68,26 @@ func (c *Cache) path(key string) (string, error) {
 	return filepath.Join(c.dir, "objects", key[:2], key), nil
 }
 
-// Get returns the object stored under key, with ok=false on a miss.
+// errCorrupt marks a cache object that failed its checksum; the
+// executor quarantines it.
+var errCorrupt = errors.New("sweep: corrupt cache object")
+
+// Get returns exactly the bytes Put stored under key, with ok=false on
+// a miss. An object that fails its checksum is reported as an error.
 func (c *Cache) Get(key string) (data []byte, ok bool, err error) {
 	p, err := c.path(key)
 	if err != nil {
 		return nil, false, err
 	}
-	data, err = c.fsys.ReadFile(p)
+	frame, err := c.fsys.ReadFile(p)
 	if durable.IsNotExist(err) {
 		return nil, false, nil
 	}
 	if err != nil {
 		return nil, false, err
+	}
+	if data, err = durable.DecodeFrame(frame); err != nil {
+		return nil, false, fmt.Errorf("%w %s: %v", errCorrupt, key, err)
 	}
 	return data, true, nil
 }
@@ -91,7 +100,7 @@ func (c *Cache) Put(key string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return durable.WriteFileAtomic(c.fsys, p, data, true)
+	return durable.WriteFileAtomic(c.fsys, p, durable.AppendFrame(nil, data), true)
 }
 
 // Quarantine moves the corrupt object stored under key to

@@ -1,22 +1,19 @@
 package sweep
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"bgploop/internal/durable"
 )
 
 // journalVersion is bumped when the entry schema changes; entries with a
 // different version are ignored on load.
-const journalVersion = 1
+const journalVersion = 2
 
-// journalEntry is one completed trial, one JSON object per line.
+// journalEntry is one completed trial: the JSON payload of one
+// durable.Log frame.
 type journalEntry struct {
 	V     int `json:"v"`
 	Trial int `json:"trial"`
@@ -34,23 +31,20 @@ type JournalOptions struct {
 	// ENOSPC/EIO/torn-write schedules exercise the production code path.
 	FS durable.FS
 	// SyncEvery is the fsync cadence on Append: 0 (the default) never
-	// fsyncs during the run — appends are flushed to the OS, which
-	// survives a process kill but not a machine crash; 1 fsyncs every
-	// append; N fsyncs every N appends. Close always fsyncs, whatever
-	// the cadence, so a completed sweep's checkpoint is durable.
+	// fsyncs during the run — appends reach the OS, which survives a
+	// process kill but not a machine crash; 1 fsyncs every append; N
+	// fsyncs every N appends. Close always fsyncs, whatever the cadence,
+	// so a completed sweep's checkpoint is durable.
 	SyncEvery int
 }
 
-// Journal is an append-only checkpoint of completed sweep trials. Every
-// finished trial is written as one JSON line and flushed, so a sweep
-// killed mid-flight loses at most the line being written — the loader
-// tolerates a torn final line — and a restarted sweep resumes from the
-// completed set instead of re-simulating it.
+// Journal is an append-only checkpoint of completed sweep trials on a
+// durable.Log. Every finished trial is one checksummed record, so a
+// sweep killed mid-flight loses at most the record being written — a
+// torn or corrupt line is dropped on load — and a restarted sweep
+// resumes from the completed set instead of re-simulating it.
 type Journal struct {
-	path      string
-	fsys      durable.FS
-	f         durable.File
-	w         *bufio.Writer
+	log       *durable.Log
 	entries   map[int]journalEntry
 	syncEvery int
 	sinceSync int
@@ -71,59 +65,28 @@ func OpenJournalOpts(path string, resume bool, o JournalOptions) (*Journal, erro
 		return nil, errors.New("sweep: empty journal path")
 	}
 	fsys := durable.OrOS(o.FS)
-	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("sweep: open journal: %w", err)
-	}
-	j := &Journal{path: path, fsys: fsys, entries: map[int]journalEntry{}, syncEvery: o.SyncEvery}
-	if resume {
-		if err := j.load(); err != nil {
-			return nil, err
-		}
-	}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
 	if !resume {
-		flags |= os.O_TRUNC
+		if err := fsys.Remove(path); err != nil && !durable.IsNotExist(err) {
+			return nil, fmt.Errorf("sweep: open journal: %w", err)
+		}
 	}
-	f, err := fsys.OpenFile(path, flags, 0o644)
+	log, payloads, err := durable.Open(fsys, path)
 	if err != nil {
 		return nil, fmt.Errorf("sweep: open journal: %w", err)
 	}
-	j.f = f
-	j.w = bufio.NewWriter(f)
-	return j, nil
-}
-
-// load reads existing entries, ignoring unparseable lines (a torn write
-// from a killed sweep must not poison the resume).
-func (j *Journal) load() error {
-	data, err := j.fsys.ReadFile(j.path)
-	if durable.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("sweep: load journal: %w", err)
-	}
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(line) == 0 {
-			continue
-		}
+	j := &Journal{log: log, entries: map[int]journalEntry{}, syncEvery: o.SyncEvery}
+	for _, p := range payloads {
 		var e journalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			continue // torn or foreign line
-		}
-		if e.V != journalVersion || e.Key == "" || e.Data == nil {
+		if json.Unmarshal(p, &e) != nil || e.V != journalVersion || e.Key == "" || e.Data == nil {
 			continue
 		}
 		j.entries[e.Trial] = e
 	}
-	return nil
+	return j, nil
 }
 
 // Len returns the number of loaded (resumable) entries.
 func (j *Journal) Len() int { return len(j.entries) }
-
-// Path returns the journal file path.
-func (j *Journal) Path() string { return j.path }
 
 // Lookup returns the journaled result of trial i if one was loaded and
 // its content address still matches key.
@@ -135,30 +98,28 @@ func (j *Journal) Lookup(trial int, key string) ([]byte, bool) {
 	return e.Data, true
 }
 
-// Append checkpoints one completed trial and flushes it to the OS, so a
-// subsequent kill cannot lose it; under a positive sync policy it is
+// Append checkpoints one completed trial. Once it returns, a process
+// kill cannot lose the entry; under a positive sync policy it is
 // additionally fsynced every SyncEvery appends, so a machine crash
-// cannot either. Append must only be called from one goroutine (the
+// cannot either. A trial already checkpointed under the same key is
+// not rewritten. Append must only be called from one goroutine (the
 // executor's merging loop).
 func (j *Journal) Append(trial int, key string, data []byte) error {
-	if _, ok := j.entries[trial]; ok {
-		return nil // already checkpointed (e.g. replayed entry)
+	if e, ok := j.entries[trial]; ok && e.Key == key {
+		return nil
 	}
 	e := journalEntry{V: journalVersion, Trial: trial, Key: key, Data: json.RawMessage(data)}
 	line, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	if err := j.w.Flush(); err != nil {
+	if err := j.log.Append(line); err != nil {
 		return err
 	}
 	if j.syncEvery > 0 {
 		j.sinceSync++
 		if j.sinceSync >= j.syncEvery {
-			if err := j.f.Sync(); err != nil {
+			if err := j.log.Sync(); err != nil {
 				return fmt.Errorf("sweep: journal sync: %w", err)
 			}
 			j.sinceSync = 0
@@ -168,25 +129,9 @@ func (j *Journal) Append(trial int, key string, data []byte) error {
 	return nil
 }
 
-// Close flushes, fsyncs, and closes the journal file. The fsync is
-// unconditional — whatever the append cadence, a journal that closed
-// cleanly is durable.
+// Close fsyncs and closes the journal file. The fsync is unconditional
+// — whatever the append cadence, a journal that closed cleanly is
+// durable.
 func (j *Journal) Close() error {
-	if j.f == nil {
-		return nil
-	}
-	ferr := j.w.Flush()
-	var serr error
-	if ferr == nil {
-		serr = j.f.Sync()
-	}
-	cerr := j.f.Close()
-	j.f = nil
-	if ferr != nil {
-		return ferr
-	}
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return j.log.Close()
 }

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -307,5 +308,148 @@ func TestResumeAfterCancelReproducesFullRun(t *testing.T) {
 		if resumed.Results[i] != uninterrupted.Results[i] {
 			t.Errorf("trial %d: resumed %d, uninterrupted %d", i, resumed.Results[i], uninterrupted.Results[i])
 		}
+	}
+}
+
+// flipDigit rewrites the first occurrence of old in the file at path to
+// new: a one-digit edit that keeps the bytes valid JSON.
+func flipDigit(t *testing.T, path, old, new string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(data, []byte(old), []byte(new), 1)
+	if bytes.Equal(edited, data) {
+		t.Fatalf("%s holds no %q to edit", path, old)
+	}
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCacheDigitFlipQuarantined: one digit changed inside a stored
+// object still decodes, so only the checksum can catch it. The object is
+// quarantined, the trial re-executes, and the sweep returns the clean
+// result. An object in the unframed pre-checksum format is quarantined
+// on first read the same way.
+func TestCacheDigitFlipQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	cache, err := OpenCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options[int]{Workers: 1, Codec: intCodec(), Cache: cache}
+	var executed []int
+	if _, err := Run(context.Background(), 3, countingTask(&executed), opts); err != nil {
+		t.Fatal(err)
+	}
+	obj := func(i int) string { return filepath.Join(dir, "objects", testKey(i)[:2], testKey(i)) }
+	flipDigit(t, obj(1), "1001", "1002")
+	if err := os.WriteFile(obj(2), []byte("1002"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	executed = nil
+	out, err := Run(context.Background(), 3, countingTask(&executed), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Stats.Quarantined != 2 || out.Stats.CacheHits != 1 || len(executed) != 2 {
+		t.Fatalf("stats %+v, executed %v; want 2 quarantined / 1 hit / trials 1 and 2 re-executed", out.Stats, executed)
+	}
+	for i, v := range out.Results {
+		if v != 1000+i {
+			t.Errorf("trial %d = %d, want the clean %d", i, v, 1000+i)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "quarantine", testKey(1))); err != nil {
+		t.Errorf("tampered object not quarantined: %v", err)
+	}
+}
+
+// TestCacheGetReturnsPutBytes: Get hands back exactly the bytes given
+// to Put — the checksum frame never leaks to callers.
+func TestCacheGetReturnsPutBytes(t *testing.T) {
+	cache, err := OpenCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("{\"a\":1}\nnot json either")
+	if err := cache.Put(testKey(0), want); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := cache.Get(testKey(0))
+	if err != nil || !ok || !bytes.Equal(got, want) {
+		t.Fatalf("Get = %q, %v, %v; want %q", got, ok, err, want)
+	}
+}
+
+// TestJournalDigitFlipNotReplayed: one digit changed inside a journaled
+// result keeps the line valid JSON, so only the checksum can catch it.
+// The entry is not replayed and the trial re-executes.
+func TestJournalDigitFlipNotReplayed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var executed []int
+	opts := Options[int]{Workers: 1, Codec: intCodec(), Journal: j}
+	if _, err := Run(context.Background(), 3, countingTask(&executed), opts); err != nil {
+		t.Fatal(err)
+	}
+	_ = j.Close()
+	flipDigit(t, path, `"data":1001`, `"data":1002`)
+
+	j2, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j2.Close() }()
+	executed = nil
+	opts.Journal = j2
+	out, err := Run(context.Background(), 3, countingTask(&executed), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Stats.Resumed != 2 || len(executed) != 1 || executed[0] != 1 {
+		t.Fatalf("stats %+v, executed %v; want 2 resumed and trial 1 re-executed", out.Stats, executed)
+	}
+	if out.Results[1] != 1001 {
+		t.Errorf("trial 1 = %d, want the clean 1001", out.Results[1])
+	}
+}
+
+// TestJournalStaleKeyAppendCheckpoints: after a resume under a changed
+// spec, a trial whose old entry carries a different key is checkpointed
+// again under the new key instead of being skipped.
+func TestJournalStaleKeyAppendCheckpoints(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.jsonl")
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(0, "k1", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	_ = j.Close()
+
+	j2, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Append(0, "k2", []byte("2")); err != nil {
+		t.Fatal(err)
+	}
+	_ = j2.Close()
+
+	j3, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = j3.Close() }()
+	if data, ok := j3.Lookup(0, "k2"); !ok || string(data) != "2" {
+		t.Fatalf("Lookup(0, k2) = %q, %v; want the re-checkpointed entry", data, ok)
 	}
 }

@@ -329,18 +329,22 @@ func Run[T any](ctx context.Context, trials int, task Task[T], opts Options[T]) 
 				continue
 			}
 			data, ok, err := opts.Cache.Get(keys[i])
-			if err != nil {
+			if err != nil && !errors.Is(err, errCorrupt) {
 				return nil, fmt.Errorf("sweep: cache read trial %d: %w", i, err)
 			}
-			if !ok {
+			if !ok && err == nil {
 				out.Stats.CacheMisses++
 				continue
 			}
-			v, err := opts.Codec.Decode(data)
+			var v T
+			if err == nil {
+				v, err = opts.Codec.Decode(data)
+			}
 			if err != nil {
-				// Corrupt object: quarantine the evidence (visible in stats
-				// and /metrics), then treat the probe as a miss so the trial
-				// re-executes and writes a fresh object.
+				// Corrupt object (bad checksum or undecodable): quarantine
+				// the evidence (visible in stats and /metrics), then treat
+				// the probe as a miss so the trial re-executes and writes a
+				// fresh object.
 				if qerr := opts.Cache.Quarantine(keys[i]); qerr != nil {
 					return nil, fmt.Errorf("sweep: quarantine trial %d: %w", i, qerr)
 				}
