@@ -194,38 +194,6 @@ func BenchmarkControlPlaneClique20(b *testing.B) {
 	benchScenario(b, bgploop.CliqueTDown(20, bgploop.DefaultConfig(), 1))
 }
 
-// BenchmarkMultiDest measures the multi-prefix harness: every AS in a
-// 20-node Internet-like topology originates a prefix and one provider
-// fails.
-func BenchmarkMultiDest(b *testing.B) {
-	g, err := bgploop.InternetLike(20, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var busiest topology.Node
-	for _, v := range g.Nodes() {
-		if g.Degree(v) > g.Degree(busiest) {
-			busiest = v
-		}
-	}
-	b.ReportAllocs()
-	var exh float64
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunMulti(experiment.MultiScenario{
-			Graph:    g,
-			Event:    experiment.TDown,
-			FailNode: busiest,
-			BGP:      bgp.DefaultConfig(),
-			Seed:     int64(i + 1),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		exh = float64(res.TTLExhaustions)
-	}
-	b.ReportMetric(exh, "exhaustions")
-}
-
 // BenchmarkWireUpdateRoundTrip measures the RFC 4271 codec.
 func BenchmarkWireUpdateRoundTrip(b *testing.B) {
 	up := bgp.Update{Dest: 0, Path: routing.Path{5, 6, 4, 3, 2, 1, 0}}

@@ -96,9 +96,9 @@ func main() {
 	fmt.Println()
 	fmt.Printf("Main phase (%s): convergence %v, looping ratio %.3f, %d TTL deaths.\n",
 		"srlg-cut", rep.ConvergenceTime.Round(time.Millisecond), rep.LoopingRatio, rep.TTLExhaustions)
-	if rep.Recovery != nil {
+	if rec := rep.RecoveryPhase(); rec != nil {
 		fmt.Printf("Recovery: convergence %v after repair at %v.\n",
-			rep.Recovery.ConvergenceTime.Round(time.Millisecond),
-			rep.Recovery.RestoreAt.Round(time.Millisecond))
+			rec.ConvergenceTime.Round(time.Millisecond),
+			rec.InjectAt.Round(time.Millisecond))
 	}
 }

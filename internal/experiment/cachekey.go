@@ -19,7 +19,16 @@ import (
 //
 // v2: Result gained the netsim/session counter fields, so results stored
 // by v1 binaries would digest-mismatch against fresh runs.
-const CacheKeyVersion = 2
+//
+// v3: Result stores each measured phase once, in Phases, plus the Main
+// index; the top-level main-phase fields and the Recovery block are no
+// longer encoded. A v2 object still decodes here (its extra fields are
+// ignored and Main defaults to 0, the main phase of every canonical
+// plan), but a v2 binary reading a v3 object would see zeroed main-phase
+// metrics. The bump makes such a binary miss the cache, or see a key
+// mismatch from a dist worker, instead — which matters when old and new
+// binaries share a cache directory or a mixed-version worker fleet.
+const CacheKeyVersion = 3
 
 // Fingerprinted lets a custom routing.Policy or bgp.ExportPolicy opt into
 // the sweep result cache. The fingerprint must change whenever the
@@ -258,10 +267,14 @@ func EncodeResult(r *Result) ([]byte, error) {
 // DecodeResult is the inverse of EncodeResult. The metric types round-trip
 // through JSON exactly (integers, IEEE-754 doubles via shortest-round-trip
 // formatting, nanosecond durations), so a decoded result re-encodes — and
-// therefore digests — byte-identically to the fresh one.
+// therefore digests — byte-identically to the fresh one. The main-phase
+// fields, which are not encoded, are refilled from Phases[Main].
 func DecodeResult(data []byte) (*Result, error) {
 	r := &Result{}
 	if err := json.Unmarshal(data, r); err != nil {
+		return nil, fmt.Errorf("experiment: decode result: %w", err)
+	}
+	if err := r.fillMain(); err != nil {
 		return nil, fmt.Errorf("experiment: decode result: %w", err)
 	}
 	return r, nil

@@ -199,8 +199,8 @@ func TestLoadScenarioFaultPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Phases) != 2 || res.Recovery == nil {
-		t.Errorf("phases = %d, recovery = %v", len(res.Phases), res.Recovery)
+	if len(res.Phases) != 2 || res.RecoveryPhase() == nil {
+		t.Errorf("phases = %d, recovery = %v", len(res.Phases), res.RecoveryPhase())
 	}
 	if res.Plan != "srlg-then-reset" {
 		t.Errorf("Plan echo = %q", res.Plan)

@@ -3,13 +3,16 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"bgploop/internal/bgp"
+	"bgploop/internal/faultplan"
 	"bgploop/internal/routing"
 	"bgploop/internal/sweep"
 	"bgploop/internal/topology"
@@ -23,6 +26,13 @@ func sweepDigests(t *testing.T, gen Generator, trials int, opts SweepOptions) (s
 	if err != nil {
 		t.Fatalf("sweep failed: %v", err)
 	}
+	aggDig, perTrial := digestOutcome(t, agg, results)
+	return aggDig, perTrial, stats
+}
+
+// digestOutcome digests an aggregate and its per-trial results.
+func digestOutcome(t *testing.T, agg Aggregate, results []*Result) (string, []string) {
+	t.Helper()
 	aggDig, err := DigestAggregate(agg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,65 +43,152 @@ func sweepDigests(t *testing.T, gen Generator, trials int, opts SweepOptions) (s
 			t.Fatal(err)
 		}
 	}
-	return aggDig, perTrial, stats
+	return aggDig, perTrial
 }
 
 // TestSweepParallelDeterminism is the acceptance criterion: the same
 // sweep at -j 1, -j 4, and -j GOMAXPROCS produces byte-identical
-// aggregate and per-trial digests. CI runs this test under -race.
+// aggregate and per-trial digests — including a sweep whose failures
+// exceed its failure ratio, whose partial results must not depend on
+// which trials the abort caught in flight. CI runs this test under -race.
 func TestSweepParallelDeterminism(t *testing.T) {
-	gen := Repeat(CliqueTDown(5, bgp.DefaultConfig(), 7))
-	const trials = 6
-	wantAgg, wantTrials, _ := sweepDigests(t, gen, trials, SweepOptions{Workers: 1})
-	if len(wantTrials) != trials {
-		t.Fatalf("sequential oracle produced %d results, want %d", len(wantTrials), trials)
+	healthy := Repeat(CliqueTDown(5, bgp.DefaultConfig(), 7))
+	cases := []struct {
+		name    string
+		gen     Generator
+		trials  int
+		opts    SweepOptions
+		wantErr bool
+	}{
+		{name: "healthy", gen: healthy, trials: 6},
+		{
+			// ⌊0.25·8⌋ = 2 failures are tolerated, so the sweep is cut at
+			// trial 5: trials 0..5 count and 6 and 7 are discarded.
+			name: "failure-ratio-exceeded",
+			gen: func(trial int) (Scenario, error) {
+				if trial%2 == 1 && trial <= 5 {
+					return Scenario{}, errors.New("synthetic generator failure")
+				}
+				return healthy(trial)
+			},
+			trials:  8,
+			opts:    SweepOptions{ContinueOnFailure: true, MaxFailureRatio: 0.25},
+			wantErr: true,
+		},
 	}
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		gotAgg, gotTrials, _ := sweepDigests(t, gen, trials, SweepOptions{Workers: workers})
-		if gotAgg != wantAgg {
-			t.Errorf("workers=%d: aggregate digest %s, sequential oracle %s", workers, gotAgg, wantAgg)
-		}
-		for i := range wantTrials {
-			if gotTrials[i] != wantTrials[i] {
-				t.Errorf("workers=%d trial %d: digest %s, oracle %s", workers, i, gotTrials[i], wantTrials[i])
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int) (string, []string) {
+				opts := tc.opts
+				opts.Workers = workers
+				agg, results, _, err := RunSweep(tc.gen, tc.trials, opts)
+				if (err != nil) != tc.wantErr {
+					t.Fatalf("workers=%d: err = %v, want error %v", workers, err, tc.wantErr)
+				}
+				return digestOutcome(t, agg, results)
 			}
-		}
+			wantAgg, wantTrials := run(1)
+			if !tc.wantErr && len(wantTrials) != tc.trials {
+				t.Fatalf("sequential oracle produced %d results, want %d", len(wantTrials), tc.trials)
+			}
+			for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+				gotAgg, gotTrials := run(workers)
+				if gotAgg != wantAgg {
+					t.Errorf("workers=%d: aggregate digest %s, sequential oracle %s", workers, gotAgg, wantAgg)
+				}
+				if len(gotTrials) != len(wantTrials) {
+					t.Fatalf("workers=%d: %d results, sequential oracle %d", workers, len(gotTrials), len(wantTrials))
+				}
+				for i := range wantTrials {
+					if gotTrials[i] != wantTrials[i] {
+						t.Errorf("workers=%d trial %d: digest %s, oracle %s", workers, i, gotTrials[i], wantTrials[i])
+					}
+				}
+			}
+		})
 	}
 }
 
 // TestSweepCacheRoundTrip: a warm cache serves every unchanged trial from
-// disk (zero re-simulations) and the cached results digest identically to
-// the fresh ones; a spec change invalidates the addresses and re-runs.
+// disk (zero re-simulations) and the cached results equal the fresh ones,
+// digest by digest and field by field — the digest does not cover the
+// main-phase fields DecodeResult refills, so only the field check catches
+// a wrong fill. A spec change invalidates the addresses and re-runs.
 func TestSweepCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	gen := Repeat(CliqueTDown(4, bgp.DefaultConfig(), 11))
-	const trials = 4
-	opts := SweepOptions{Workers: 2, CacheDir: dir}
-
-	coldAgg, coldTrials, coldStats := sweepDigests(t, gen, trials, opts)
-	if coldStats.Executed != trials || coldStats.CacheMisses != trials {
-		t.Fatalf("cold stats %+v, want %d executed misses", coldStats, trials)
-	}
-
-	warmAgg, warmTrials, warmStats := sweepDigests(t, gen, trials, opts)
-	if warmStats.Executed != 0 || warmStats.CacheHits != trials {
-		t.Errorf("warm stats %+v, want 0 executed / %d hits", warmStats, trials)
-	}
-	if warmAgg != coldAgg {
-		t.Errorf("cached aggregate digest %s differs from fresh %s", warmAgg, coldAgg)
-	}
-	for i := range coldTrials {
-		if warmTrials[i] != coldTrials[i] {
-			t.Errorf("trial %d: cached digest %s, fresh %s", i, warmTrials[i], coldTrials[i])
-		}
-	}
-
-	// A config change must miss everything, not serve stale results.
 	cfg := bgp.DefaultConfig()
-	cfg.MRAI = 15 * time.Second
-	_, _, changedStats := sweepDigests(t, Repeat(CliqueTDown(4, cfg, 11)), trials, opts)
-	if changedStats.CacheHits != 0 || changedStats.Executed != trials {
-		t.Errorf("changed-spec stats %+v, want a full re-run", changedStats)
+	link := topology.NormEdge(0, 1)
+	recovery := CliqueTDown(4, cfg, 11)
+	recovery.RestoreDelay = time.Second
+	noMainRole := CliqueTDown(4, cfg, 11)
+	noMainRole.FaultPlan = &faultplan.Plan{Name: "no-main-role", Phases: []faultplan.Phase{
+		{Name: "down", Delay: time.Second, Measure: true, Actions: []faultplan.Action{faultplan.FailLink(link)}},
+		{Name: "up", Delay: time.Second, Measure: true, Actions: []faultplan.Action{faultplan.RestoreLink(link)}},
+	}}
+	lateMain := CliqueTDown(4, cfg, 11)
+	lateMain.FaultPlan = &faultplan.Plan{Name: "late-main", Phases: []faultplan.Phase{
+		{Name: "down", Delay: time.Second, Measure: true, Actions: []faultplan.Action{faultplan.FailLink(link)}},
+		{Name: "up", Delay: time.Second, Measure: true, Role: faultplan.RoleMain, Actions: []faultplan.Action{faultplan.RestoreLink(link)}},
+	}}
+	cases := []struct {
+		name     string
+		s        Scenario
+		main     int
+		recovery bool
+	}{
+		{name: "tdown", s: CliqueTDown(4, cfg, 11)},
+		{name: "recovery", s: recovery, recovery: true},
+		{name: "no-main-role", s: noMainRole},
+		{name: "late-main", s: lateMain, main: 1},
+	}
+	const trials = 4
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gen := Repeat(tc.s)
+			opts := SweepOptions{Workers: 2, CacheDir: t.TempDir()}
+			coldAgg, cold, coldStats, err := RunSweep(gen, trials, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if coldStats.Executed != trials || coldStats.CacheMisses != trials {
+				t.Fatalf("cold stats %+v, want %d executed misses", coldStats, trials)
+			}
+			warmAgg, warm, warmStats, err := RunSweep(gen, trials, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if warmStats.Executed != 0 || warmStats.CacheHits != trials {
+				t.Errorf("warm stats %+v, want 0 executed / %d hits", warmStats, trials)
+			}
+			coldAggDig, coldTrials := digestOutcome(t, coldAgg, cold)
+			warmAggDig, warmTrials := digestOutcome(t, warmAgg, warm)
+			if warmAggDig != coldAggDig {
+				t.Errorf("cached aggregate digest %s differs from fresh %s", warmAggDig, coldAggDig)
+			}
+			for i := range cold {
+				if warmTrials[i] != coldTrials[i] {
+					t.Errorf("trial %d: cached digest %s, fresh %s", i, warmTrials[i], coldTrials[i])
+				}
+				fresh, cached := *cold[i], *warm[i]
+				fresh.Trace, cached.Trace = nil, nil
+				if !reflect.DeepEqual(cached, fresh) {
+					t.Errorf("trial %d: cached result differs from fresh:\n cached %+v\n fresh  %+v", i, cached, fresh)
+				}
+				if cached.Main != tc.main || (cached.RecoveryPhase() != nil) != tc.recovery {
+					t.Errorf("trial %d: main phase %d, recovery %v; want %d, %v", i, cached.Main, cached.RecoveryPhase() != nil, tc.main, tc.recovery)
+				}
+				if m := cached.Phases[tc.main]; cached.FailAt != m.InjectAt || !reflect.DeepEqual(cached.Loops, m.Loops) {
+					t.Errorf("trial %d: main-phase fields not filled from phase %d", i, tc.main)
+				}
+			}
+
+			// A config change must miss everything, not serve stale results.
+			changed := tc.s
+			changed.BGP.MRAI = 15 * time.Second
+			_, _, changedStats := sweepDigests(t, Repeat(changed), trials, opts)
+			if changedStats.CacheHits != 0 || changedStats.Executed != trials {
+				t.Errorf("changed-spec stats %+v, want a full re-run", changedStats)
+			}
+		})
 	}
 }
 

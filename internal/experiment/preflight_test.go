@@ -171,8 +171,8 @@ func TestObservedLoopsMatchStaticCandidates(t *testing.T) {
 				check(l.Nodes, "phase "+ph.Name)
 			}
 		}
-		if res.Recovery != nil {
-			for _, l := range res.Recovery.Loops {
+		if rec := res.RecoveryPhase(); rec != nil {
+			for _, l := range rec.Loops {
 				check(l.Nodes, "recovery")
 			}
 		}

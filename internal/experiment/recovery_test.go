@@ -15,10 +15,10 @@ func TestRecoveryPhaseTLong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Recovery == nil {
+	rec := res.RecoveryPhase()
+	if rec == nil {
 		t.Fatal("no recovery phase recorded")
 	}
-	rec := res.Recovery
 	if rec.ConvergenceTime <= 0 {
 		t.Error("recovery produced no updates")
 	}
@@ -49,15 +49,16 @@ func TestRecoveryPhaseTDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Recovery == nil {
+	rec := res.RecoveryPhase()
+	if rec == nil {
 		t.Fatal("no recovery phase recorded")
 	}
 	// After T_up the destination is reachable again: packets sent in the
 	// recovery window are (eventually) deliverable, so some must arrive.
-	if res.Recovery.Replay.Sent > 0 && res.Recovery.Replay.Delivered == 0 {
-		t.Errorf("no packet delivered during recovery: %+v", res.Recovery.Replay)
+	if rec.Replay.Sent > 0 && rec.Replay.Delivered == 0 {
+		t.Errorf("no packet delivered during recovery: %+v", rec.Replay)
 	}
-	if res.Recovery.ConvergenceTime <= 0 {
+	if rec.ConvergenceTime <= 0 {
 		t.Error("T_up produced no updates")
 	}
 }
@@ -110,7 +111,7 @@ func TestNoRecoveryByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Recovery != nil {
+	if res.RecoveryPhase() != nil {
 		t.Error("recovery phase recorded without RestoreDelay")
 	}
 }

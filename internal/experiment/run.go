@@ -29,6 +29,12 @@ import (
 var ErrNoQuiescence = errors.New("experiment: simulation did not quiesce within the event budget")
 
 // Result carries everything measured in one run.
+//
+// Phases is the only encoded copy of the per-phase §4.2 metrics. The
+// main-phase fields below (FailAt through LoopStats) mirror Phases[Main]
+// for the callers and figures that read them; they are excluded from the
+// encoding and refilled by DecodeResult, so a cache object stores each
+// phase once.
 type Result struct {
 	// Scenario echo for reporting.
 	Topology    string
@@ -42,25 +48,25 @@ type Result struct {
 	// FailAt is the main-phase failure injection instant;
 	// InitialConvergence is how long the pristine network took to
 	// converge from cold start.
-	FailAt             des.Time
+	FailAt             des.Time `json:"-"`
 	InitialConvergence time.Duration
 
 	// ConvergenceTime is the paper's metric: failure instant to the last
 	// BGP update sent.
-	ConvergenceTime time.Duration
+	ConvergenceTime time.Duration `json:"-"`
 
 	// Replay aggregates the packet workload outcome over the convergence
 	// window; LoopingDuration and LoopingRatio are derived from it.
-	Replay          dataplane.ReplayResult
-	LoopingDuration time.Duration
-	LoopingRatio    float64
-	TTLExhaustions  int
-	PacketsSent     int
+	Replay          dataplane.ReplayResult `json:"-"`
+	LoopingDuration time.Duration          `json:"-"`
+	LoopingRatio    float64                `json:"-"`
+	TTLExhaustions  int                    `json:"-"`
+	PacketsSent     int                    `json:"-"`
 
 	// Loops are the exact transient-loop intervals extracted from the
 	// FIB history after the failure.
-	Loops     []loopanalysis.Loop
-	LoopStats loopanalysis.Stats
+	Loops     []loopanalysis.Loop `json:"-"`
+	LoopStats loopanalysis.Stats  `json:"-"`
 
 	// Control-plane totals over the whole run.
 	UpdatesSent            int
@@ -86,16 +92,45 @@ type Result struct {
 	HoldExpiries         int
 	SessionsEstablished  int
 
+	// Main is the index in Phases of the main phase: the plan's RoleMain
+	// phase, else its first measured phase.
+	Main int
 	// Phases holds the per-phase measurements of every measured fault-
-	// plan phase (the main phase included).
+	// plan phase, in plan order (the main phase included).
 	Phases []PhaseResult
 
 	// Trace holds the protocol event trace when Scenario.TraceLimit > 0.
 	Trace *trace.Recorder
+}
 
-	// Recovery holds the T_up phase when the plan has a recovery-role
-	// phase (legacy: Scenario.RestoreDelay > 0).
-	Recovery *Recovery
+// RecoveryPhase returns the T_up phase — the first measured phase with
+// the recovery role (legacy: Scenario.RestoreDelay > 0) — or nil when the
+// plan has none.
+func (r *Result) RecoveryPhase() *PhaseResult {
+	for i := range r.Phases {
+		if r.Phases[i].Role == string(faultplan.RoleRecovery) {
+			return &r.Phases[i]
+		}
+	}
+	return nil
+}
+
+// fillMain copies Phases[Main] into the top-level main-phase fields.
+func (r *Result) fillMain() error {
+	if r.Main < 0 || r.Main >= len(r.Phases) {
+		return fmt.Errorf("experiment: main phase %d out of range [0, %d)", r.Main, len(r.Phases))
+	}
+	m := r.Phases[r.Main]
+	r.FailAt = m.InjectAt
+	r.ConvergenceTime = m.ConvergenceTime
+	r.Replay = m.Replay
+	r.LoopingDuration = m.LoopingDuration
+	r.LoopingRatio = m.LoopingRatio
+	r.TTLExhaustions = m.TTLExhaustions
+	r.PacketsSent = m.PacketsSent
+	r.Loops = m.Loops
+	r.LoopStats = m.LoopStats
+	return nil
 }
 
 // PhaseResult carries the §4.2 metrics for one measured fault-plan phase.
@@ -122,25 +157,6 @@ type PhaseResult struct {
 	LoopStats loopanalysis.Stats
 	// EventsExecuted counts the DES events the phase consumed.
 	EventsExecuted uint64
-}
-
-// Recovery captures the T_up phase of a flap scenario: the failed
-// element is repaired and the network re-converges onto the original
-// routes.
-type Recovery struct {
-	// RestoreAt is the repair instant.
-	RestoreAt des.Time
-	// ConvergenceTime is repair instant -> last update sent.
-	ConvergenceTime time.Duration
-	// Replay covers packets sent during the recovery window.
-	Replay dataplane.ReplayResult
-	// LoopingDuration/LoopingRatio/TTLExhaustions mirror the §4.2
-	// metrics for the recovery window.
-	LoopingDuration time.Duration
-	LoopingRatio    float64
-	TTLExhaustions  int
-	// Loops are transient loops observed during recovery.
-	Loops []loopanalysis.Loop
 }
 
 // observer records FIB changes for the scenario's destination and tracks
@@ -203,8 +219,8 @@ func Run(s Scenario) (*Result, error) {
 const quiescenceChunk = 50_000
 
 // RunContext is Run with cooperative cancellation: the watchdog polls ctx
-// between bounded event chunks, so an aborted sweep (fail-fast failure
-// elsewhere, failure-ratio doom, Ctrl-C) stops an in-flight trial in
+// between bounded event chunks, so an aborted sweep (a failure-policy
+// cut below the trial, Ctrl-C) stops an in-flight trial in
 // bounded time. The DES kernel itself stays single-threaded and knows
 // nothing about contexts; cancellation lives entirely in this harness
 // layer. The returned error wraps ctx.Err() when the run was interrupted.
@@ -397,21 +413,6 @@ func RunContext(ctx context.Context, s Scenario) (res *Result, err error) {
 			sources = append(sources, v)
 		}
 	}
-	var phases []PhaseResult
-	byIndex := make(map[int]int, len(plan.Phases)) // plan index -> phases index
-	for i, ex := range execs {
-		if !ex.phase.Measure {
-			continue
-		}
-		pr, err := s.measurePhase(obs.history, sources, execs, i)
-		if err != nil {
-			return nil, err
-		}
-		byIndex[i] = len(phases)
-		phases = append(phases, pr)
-	}
-
-	main := phases[byIndex[mainIdx]]
 	res = &Result{
 		Topology:           s.Graph.Name(),
 		Nodes:              s.Graph.NumNodes(),
@@ -420,32 +421,26 @@ func RunContext(ctx context.Context, s Scenario) (res *Result, err error) {
 		Enhancement:        s.BGP.Enhancements.String(),
 		MRAI:               s.BGP.MRAI,
 		Seed:               s.Seed,
-		FailAt:             main.InjectAt,
 		InitialConvergence: initialConv,
-		ConvergenceTime:    main.ConvergenceTime,
-		Replay:             main.Replay,
-		LoopingDuration:    main.LoopingDuration,
-		LoopingRatio:       main.LoopingRatio,
-		TTLExhaustions:     main.TTLExhaustions,
-		PacketsSent:        main.PacketsSent,
-		Loops:              main.Loops,
-		LoopStats:          main.LoopStats,
 		FIBChanges:         obs.history.TotalChanges(),
 		EventsExecuted:     sched.Executed(),
-		Phases:             phases,
 		Trace:              recorder,
 	}
-	if recIdx := plan.RecoveryPhase(); recIdx >= 0 {
-		rec := phases[byIndex[recIdx]]
-		res.Recovery = &Recovery{
-			RestoreAt:       rec.InjectAt,
-			ConvergenceTime: rec.ConvergenceTime,
-			Replay:          rec.Replay,
-			LoopingDuration: rec.LoopingDuration,
-			LoopingRatio:    rec.LoopingRatio,
-			TTLExhaustions:  rec.TTLExhaustions,
-			Loops:           rec.Loops,
+	for i, ex := range execs {
+		if !ex.phase.Measure {
+			continue
 		}
+		pr, err := s.measurePhase(obs.history, sources, execs, i)
+		if err != nil {
+			return nil, err
+		}
+		if i == mainIdx {
+			res.Main = len(res.Phases)
+		}
+		res.Phases = append(res.Phases, pr)
+	}
+	if err := res.fillMain(); err != nil {
+		return nil, err
 	}
 	for _, sp := range speakers {
 		st := sp.Stats()

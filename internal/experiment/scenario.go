@@ -81,7 +81,7 @@ type Scenario struct {
 	// RestoreDelay, when positive, repairs the failed link(s) that long
 	// after the post-failure convergence quiesces — a T_up recovery event
 	// (an extension beyond the paper) — and records the recovery phase in
-	// Result.Recovery.
+	// Result.Phases, where Result.RecoveryPhase finds it.
 	RestoreDelay time.Duration
 	// FlapCycles, when positive, runs that many fail+repair cycles of the
 	// configured event *before* the measured failure. With route flap

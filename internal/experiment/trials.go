@@ -70,8 +70,9 @@ type SweepOptions struct {
 	// MaxFailureRatio is the failed/attempted ratio above which a
 	// continue-on-failure sweep is reported as an error anyway (the
 	// surviving sample is no longer representative). Zero means the
-	// default of 0.5. The executor aborts in-flight trials as soon as the
-	// failure count alone guarantees a breach.
+	// default of 0.5. The sweep tolerates ⌊ratio × trials⌋ failures and
+	// stops at the next failed trial index, in ascending order, so its
+	// partial results are the same at every worker count.
 	MaxFailureRatio float64
 	// Workers is the trial-level parallelism: 0 means GOMAXPROCS, 1 runs
 	// the trials inline in the calling goroutine (the sequential path,
@@ -321,44 +322,35 @@ func tallyOutcome(out *sweep.Outcome[*Result], opts SweepOptions, maxRatio float
 		loopCnt   []float64
 		maxLoopN  []float64
 	)
-	firstFail := out.FirstFailure()
+	// Trials above the failure policy's cut are skipped, canceled or
+	// finished out of order by parallel workers; discarding them makes
+	// the output match the sequential oracle at every worker count.
 	limit := len(out.Status)
-	if !opts.ContinueOnFailure && firstFail >= 0 {
-		// Sequential fail-fast semantics: the sweep counts as having run
-		// trials 0..firstFail and salvages the results below the failure;
-		// whatever completed above it (out-of-order parallel finishes) is
-		// discarded so the output matches the sequential oracle.
-		limit = firstFail
-		attempted = firstFail + 1
-		failures = append(failures, asTrialFailure(out.Errs[firstFail], firstFail))
-	} else {
-		for i, st := range out.Status {
-			switch st {
-			case sweep.StatusDone, sweep.StatusFailed:
-				attempted++
-			case sweep.StatusCanceled:
-				attempted++
-				canceled++
-			}
-			if st == sweep.StatusFailed {
-				failures = append(failures, asTrialFailure(out.Errs[i], i))
-			}
-		}
+	if out.Cut >= 0 {
+		limit = out.Cut + 1
 	}
-	for i := 0; i < limit; i++ {
-		if !out.Done(i) {
+	for i, st := range out.Status[:limit] {
+		if st == sweep.StatusSkipped {
 			continue
 		}
-		res := out.Results[i]
-		results = append(results, res)
-		conv = append(conv, res.ConvergenceTime.Seconds())
-		loopDur = append(loopDur, res.LoopingDuration.Seconds())
-		exhaust = append(exhaust, float64(res.TTLExhaustions))
-		ratio = append(ratio, res.LoopingRatio)
-		packets = append(packets, float64(res.PacketsSent))
-		updates = append(updates, float64(res.UpdatesSent))
-		loopCnt = append(loopCnt, float64(res.LoopStats.Count))
-		maxLoopN = append(maxLoopN, float64(res.LoopStats.MaxSize))
+		attempted++
+		switch st {
+		case sweep.StatusFailed:
+			failures = append(failures, asTrialFailure(out.Errs[i], i))
+		case sweep.StatusCanceled:
+			canceled++
+		case sweep.StatusDone:
+			res := out.Results[i]
+			results = append(results, res)
+			conv = append(conv, res.ConvergenceTime.Seconds())
+			loopDur = append(loopDur, res.LoopingDuration.Seconds())
+			exhaust = append(exhaust, float64(res.TTLExhaustions))
+			ratio = append(ratio, res.LoopingRatio)
+			packets = append(packets, float64(res.PacketsSent))
+			updates = append(updates, float64(res.UpdatesSent))
+			loopCnt = append(loopCnt, float64(res.LoopStats.Count))
+			maxLoopN = append(maxLoopN, float64(res.LoopStats.MaxSize))
+		}
 	}
 	agg := Aggregate{
 		Trials:             len(results),
@@ -374,7 +366,7 @@ func tallyOutcome(out *sweep.Outcome[*Result], opts SweepOptions, maxRatio float
 		MaxLoopSize:        metrics.NewSample(maxLoopN),
 	}
 	switch {
-	case !opts.ContinueOnFailure && firstFail >= 0:
+	case !opts.ContinueOnFailure && len(failures) > 0:
 		return agg, results, failures[0]
 	case len(failures) > 0 && float64(len(failures))/float64(attempted) > maxRatio:
 		return agg, results, fmt.Errorf("experiment: %d of %d trials failed, above the %.2f failure-ratio threshold: %w",

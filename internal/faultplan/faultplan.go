@@ -272,8 +272,8 @@ const (
 	// result (convergence time, looping duration, ...). Without an
 	// explicit RoleMain the first measured phase is the main phase.
 	RoleMain Role = "main"
-	// RoleRecovery marks the phase that populates Result.Recovery, the
-	// legacy T_up block.
+	// RoleRecovery marks the T_up phase that the experiment result's
+	// RecoveryPhase accessor returns.
 	RoleRecovery Role = "recovery"
 )
 

@@ -262,12 +262,13 @@ func extX5(sc Scale) (*report.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if res.Recovery == nil {
+		rec := res.RecoveryPhase()
+		if rec == nil {
 			return nil, fmt.Errorf("figures: %s: no recovery phase", sc2.name)
 		}
 		tbl.AddFloats(sc2.name,
 			res.ConvergenceTime.Seconds(), float64(res.TTLExhaustions),
-			res.Recovery.ConvergenceTime.Seconds(), float64(res.Recovery.TTLExhaustions))
+			rec.ConvergenceTime.Seconds(), float64(rec.TTLExhaustions))
 	}
 	return tbl, nil
 }

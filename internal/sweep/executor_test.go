@@ -29,7 +29,7 @@ var errSynthetic = errors.New("synthetic trial failure")
 
 // TestParallelMatchesInline is the core guarantee: for every worker
 // width, the merged outcome is identical to the Workers == 1 oracle —
-// same results, same statuses, same first failure — because everything
+// same results, same statuses, same cut — because everything
 // is keyed by trial index, never by completion order.
 func TestParallelMatchesInline(t *testing.T) {
 	task := func(_ context.Context, i int) (int, error) {
@@ -59,8 +59,8 @@ func TestParallelMatchesInline(t *testing.T) {
 				t.Errorf("workers=%d trial %d: err %v, oracle %v", workers, i, got.Errs[i], oracle.Errs[i])
 			}
 		}
-		if got.FirstFailure() != oracle.FirstFailure() {
-			t.Errorf("workers=%d: first failure %d, oracle %d", workers, got.FirstFailure(), oracle.FirstFailure())
+		if got.Cut != oracle.Cut {
+			t.Errorf("workers=%d: cut %d, oracle %d", workers, got.Cut, oracle.Cut)
 		}
 		if got.Stats.Failed != oracle.Stats.Failed || got.Stats.Executed != oracle.Stats.Executed {
 			t.Errorf("workers=%d: stats %+v, oracle %+v", workers, got.Stats, oracle.Stats)
@@ -84,8 +84,8 @@ func TestFailFastIndexSemantics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ff := out.FirstFailure(); ff != failAt {
-			t.Errorf("workers=%d: first failure %d, want %d", workers, ff, failAt)
+		if out.Cut != failAt {
+			t.Errorf("workers=%d: cut %d, want %d", workers, out.Cut, failAt)
 		}
 		for i := 0; i < failAt; i++ {
 			if !out.Done(i) || out.Results[i] != i {

@@ -12,8 +12,9 @@
 //   - trials are dispatched to workers in ascending index order;
 //   - every result is merged back into an index-addressed slot, so the
 //     merged output is in trial order regardless of completion order;
-//   - all failure policy (fail-fast index, failure-ratio abort) is
-//     defined over trial indices, never over wall-clock completion order.
+//   - all failure policy (one cut index, see Options.FailFast and
+//     MaxFailureRatio) is defined over trial indices, never over
+//     wall-clock completion order.
 //
 // With Workers == 1 the executor runs the trials inline in the calling
 // goroutine — no goroutines, no channels — which is the sequential
@@ -38,7 +39,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -97,8 +100,8 @@ const (
 )
 
 // Task runs trial i and returns its result. The context is per-trial:
-// it is canceled when the sweep aborts (fail-fast failure elsewhere,
-// failure-ratio doom, or parent cancellation), and tasks should poll it
+// it is canceled when the failure policy cuts the sweep below the trial
+// or the parent context is canceled, and tasks should poll it
 // at convenient boundaries so in-flight work stops instead of running to
 // completion. A task signals cancellation by returning an error that
 // wraps context.Canceled or context.DeadlineExceeded.
@@ -128,15 +131,16 @@ type Options[T any] struct {
 	// Workers is the worker-pool width: 0 means GOMAXPROCS, 1 runs the
 	// trials inline in the calling goroutine (the sequential oracle).
 	Workers int
-	// FailFast stops the sweep at the lowest failed trial index: trials
+	// FailFast cuts the sweep at the lowest failed trial index: trials
 	// above it are skipped or canceled and discarded, reproducing the
 	// sequential stop-at-first-failure semantics.
 	FailFast bool
-	// MaxFailureRatio, when positive, aborts the sweep as soon as the
-	// failure count alone guarantees failed/attempted will exceed the
-	// ratio (failures > ratio × trials): the remaining trials cannot
-	// save the sweep, so in-flight workers are canceled instead of
-	// running to completion. Zero disables the early abort.
+	// MaxFailureRatio, when positive and FailFast is off, tolerates
+	// ⌊ratio × trials⌋ failures and cuts the sweep at the next failed
+	// index in ascending order: from there failed/attempted exceeds the
+	// ratio whatever the remaining trials do. The cut depends only on
+	// trial indices, so it is the same at every worker count. Zero
+	// disables the cut.
 	MaxFailureRatio float64
 	// Codec enables the cache and journal layers; the zero Codec
 	// disables both.
@@ -233,20 +237,16 @@ type Outcome[T any] struct {
 	Status  []Status
 	Source  []Source
 	Stats   Stats
+	// Cut is the trial index the failure policy stopped the sweep at
+	// (see Options.FailFast and MaxFailureRatio), or -1 when it ran to
+	// the end. Unless the parent context was canceled, every trial at or
+	// below Cut ran; the slots above it hold whatever the cut left there,
+	// and callers discard them.
+	Cut int
 }
 
 // Done reports whether trial i produced a usable result.
 func (o *Outcome[T]) Done(i int) bool { return o.Status[i] == StatusDone }
-
-// FirstFailure returns the lowest failed trial index, or -1.
-func (o *Outcome[T]) FirstFailure() int {
-	for i, st := range o.Status {
-		if st == StatusFailed {
-			return i
-		}
-	}
-	return -1
-}
 
 // canceledErr reports whether err is a cancellation, possibly wrapped.
 func canceledErr(err error) bool {
@@ -371,13 +371,7 @@ func Run[T any](ctx context.Context, trials int, task Task[T], opts Options[T]) 
 		}
 	}
 
-	ctl := &controller{
-		failFast:   opts.FailFast,
-		failFastAt: -1,
-		maxRatio:   opts.MaxFailureRatio,
-		trials:     trials,
-		cancels:    make([]context.CancelFunc, trials),
-	}
+	ctl := newController(opts, trials)
 
 	var runErr error
 	if workers == 1 {
@@ -388,6 +382,7 @@ func Run[T any](ctx context.Context, trials int, task Task[T], opts Options[T]) 
 	if runErr != nil {
 		return nil, runErr
 	}
+	out.Cut = ctl.finalCut()
 
 	for i := 0; i < trials; i++ {
 		switch out.Status[i] {
@@ -674,36 +669,57 @@ func runPool[T any](ctx context.Context, task Task[T], opts Options[T], out *Out
 	return mergeErr
 }
 
-// controller coordinates the abort policy between the merging goroutine
-// (which observes failures) and the workers (which decide whether to
-// start a trial and hold per-trial cancel functions).
+// controller coordinates the failure policy between the merging
+// goroutine (which observes failures) and the workers (which decide
+// whether to start a trial and hold per-trial cancel functions).
+//
+// The policy is one cut index: the sweep tolerates `allowed` failures and
+// stops at the next failed index in ascending order, as a sequential run
+// would. Failures arrive out of order, so the cut is the (allowed+1)-th
+// smallest failed index seen so far. It only ever moves down, and it
+// never passes a trial that has not finished, so every trial at or below
+// the final cut runs and the final cut is the sequential one. Trials
+// above it are skipped or canceled.
 type controller struct {
-	mu         sync.Mutex
-	failFast   bool
-	failFastAt int // lowest failed index, -1 while none
-	maxRatio   float64
-	trials     int
-	failures   int
-	abortAll   bool
-	cancels    []context.CancelFunc
+	mu      sync.Mutex
+	allowed int   // failures tolerated before the cut; -1 means no cut
+	failed  []int // failed indices seen so far, ascending
+	cut     int   // current cut index, -1 while none
+	cancels []context.CancelFunc
+}
+
+// newController derives the tolerated failure count from the options:
+// none for fail-fast, ⌊MaxFailureRatio·trials⌋ for a positive ratio, and
+// no cut at all otherwise.
+func newController[T any](opts Options[T], trials int) *controller {
+	allowed := -1
+	switch {
+	case opts.FailFast:
+		allowed = 0
+	case opts.MaxFailureRatio > 0:
+		allowed = int(math.Floor(opts.MaxFailureRatio * float64(trials)))
+	}
+	return &controller{allowed: allowed, cut: -1, cancels: make([]context.CancelFunc, trials)}
+}
+
+// aboveCutLocked reports whether trial i lies above the current cut.
+func (c *controller) aboveCutLocked(i int) bool {
+	return c.cut >= 0 && i > c.cut
 }
 
 // shouldSkip reports whether trial i must not start.
 func (c *controller) shouldSkip(i int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.abortAll {
-		return true
-	}
-	return c.failFast && c.failFastAt >= 0 && i > c.failFastAt
+	return c.aboveCutLocked(i)
 }
 
 // register installs the cancel function of an in-flight trial.
 func (c *controller) register(i int, cancel context.CancelFunc) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.abortAll || (c.failFast && c.failFastAt >= 0 && i > c.failFastAt) {
-		// The abort raced the registration; cancel immediately so the
+	if c.aboveCutLocked(i) {
+		// The cut raced the registration; cancel immediately so the
 		// trial stops at its first context poll.
 		cancel()
 		return
@@ -718,32 +734,32 @@ func (c *controller) unregister(i int) {
 	c.cancels[i] = nil
 }
 
-// noteFailure records a failed trial and cancels whatever the failure
-// policy no longer needs: trials above the lowest failure (fail-fast) or
-// every in-flight trial (failure-ratio doom).
+// noteFailure records failed trial i, lowers the cut when i lands among
+// the first allowed+1 failures, and cancels the in-flight trials above
+// the new cut.
 func (c *controller) noteFailure(i int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.failures++
-	if c.failFast && (c.failFastAt < 0 || i < c.failFastAt) {
-		c.failFastAt = i
-		for j := i + 1; j < len(c.cancels); j++ {
-			if c.cancels[j] != nil {
-				c.cancels[j]()
-				c.cancels[j] = nil
-			}
+	if c.allowed < 0 {
+		return
+	}
+	at, _ := slices.BinarySearch(c.failed, i)
+	c.failed = slices.Insert(c.failed, at, i)
+	if len(c.failed) <= c.allowed {
+		return
+	}
+	c.cut = c.failed[c.allowed]
+	for j := c.cut + 1; j < len(c.cancels); j++ {
+		if c.cancels[j] != nil {
+			c.cancels[j]()
+			c.cancels[j] = nil
 		}
 	}
-	// Once failures alone guarantee failed/attempted > maxRatio even if
-	// every remaining trial succeeds, the sweep is doomed: stop the
-	// in-flight workers instead of letting them run to completion.
-	if c.maxRatio > 0 && float64(c.failures) > c.maxRatio*float64(c.trials) {
-		c.abortAll = true
-		for j, cancel := range c.cancels {
-			if cancel != nil {
-				cancel()
-				c.cancels[j] = nil
-			}
-		}
-	}
+}
+
+// finalCut returns the cut the sweep ended with, -1 when none.
+func (c *controller) finalCut() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cut
 }
